@@ -1,15 +1,18 @@
 //! P-time: throughput of the Section 7.1 matching sampler.
 //!
-//! Measures swap-walk progress per unit time on small and mid-size
-//! mapping spaces — the cost driver behind the paper's 5 000-sample
-//! ground-truth runs.
+//! `sampler_swaps` measures swap-walk progress per unit time on small
+//! and mid-size mapping spaces — the cost driver behind the paper's
+//! 5 000-sample ground-truth runs. `sampler_ladder` times one whole
+//! sampler-rung call of the risk ladder (per-item crack probabilities
+//! under the quick schedule, one worker), whose 400 samples make the
+//! per-sample cost visible next to the swap cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use andi_bench::Workload;
 use andi_data::synth::Analog;
-use andi_graph::sampler::{sample_cracks, SamplerConfig};
-use andi_graph::Matching;
+use andi_graph::sampler::{sample_crack_probabilities_budgeted, sample_cracks, SamplerConfig};
+use andi_graph::{Budget, Matching};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,5 +48,32 @@ fn bench_sampler(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sampler);
+fn bench_ladder(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sampler_ladder");
+    group.sample_size(10);
+    let config = SamplerConfig::quick();
+    group.throughput(Throughput::Elements(config.n_samples as u64));
+
+    for analog in [
+        Analog::Chess,
+        Analog::Connect,
+        Analog::Pumsb,
+        Analog::Retail,
+    ] {
+        let w = Workload::load(analog);
+        let belief = w.delta_med_belief();
+        let graph = belief.build_graph(&w.supports, w.n_transactions);
+        let seed = Matching::identity(w.n_items());
+        let budget = Budget::unlimited();
+        group.bench_function(w.name.clone(), |b| {
+            b.iter(|| {
+                sample_crack_probabilities_budgeted(&graph, &seed, &config, 7, 1, &budget)
+                    .expect("seed is consistent")
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_sampler, bench_ladder);
 criterion_main!(benches);

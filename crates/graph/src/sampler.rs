@@ -197,6 +197,9 @@ pub enum SamplerError {
     InconsistentSeed { left: usize, right: usize },
     /// The seed matching matches nothing (empty walk space).
     EmptySeed,
+    /// The schedule has `samples_per_seed == 0`: no epoch can ever
+    /// take a sample.
+    ZeroSamplesPerSeed,
     /// A budgeted run was interrupted: deadline, cancellation, or an
     /// isolated worker panic.
     Interrupted(ExecError),
@@ -209,6 +212,7 @@ impl std::fmt::Display for SamplerError {
                 write!(f, "seed matching edge ({left}', {right}) is inconsistent")
             }
             SamplerError::EmptySeed => write!(f, "seed matching is empty"),
+            SamplerError::ZeroSamplesPerSeed => write!(f, "samples_per_seed must be >= 1"),
             SamplerError::Interrupted(e) => write!(f, "sampling interrupted: {e}"),
         }
     }
@@ -225,10 +229,12 @@ impl std::error::Error for SamplerError {}
 /// moving a matched left item onto a free right item, so unmatched
 /// columns still circulate.
 ///
+/// `n_samples == 0` returns no samples, as every entry point does.
+///
 /// # Errors
 ///
-/// Returns an error if the seed uses an inconsistent edge or is
-/// empty.
+/// Returns an error if `samples_per_seed == 0`, or if the seed uses
+/// an inconsistent edge or is empty.
 /// # Examples
 ///
 /// ```
@@ -251,89 +257,126 @@ pub fn sample_cracks<O: EdgeOracle, R: Rng + ?Sized>(
     config: &SamplerConfig,
     rng: &mut R,
 ) -> Result<CrackSamples, SamplerError> {
-    sample_cracks_core(oracle, seed, config, rng, &Budget::unlimited(), None)
+    if !schedule_has_samples(config)? {
+        return Ok(CrackSamples { counts: Vec::new() });
+    }
+    let plan = WalkPlan::new(oracle, seed, config)?;
+    sample_cracks_core(oracle, &plan, config, rng, &Budget::unlimited(), None)
+}
+
+/// The schedule check shared by every entry point: an error when no
+/// epoch could ever take a sample, `Ok(false)` when none is asked for.
+fn schedule_has_samples(config: &SamplerConfig) -> Result<bool, SamplerError> {
+    if config.samples_per_seed == 0 {
+        return Err(SamplerError::ZeroSamplesPerSeed);
+    }
+    Ok(config.n_samples > 0)
+}
+
+/// Per-call walk invariants: the validated seed, its matched lefts
+/// and free rights, and the locality index. Built once per sampling
+/// call and shared by reference across every epoch and batch.
+struct WalkPlan<'s> {
+    seed: &'s Matching,
+    /// Matched lefts of the seed, the swap proposal domain.
+    active: Vec<usize>,
+    /// Right columns the seed leaves unmatched.
+    free_rights: Vec<usize>,
+    /// Items the seed maps to themselves.
+    seed_cracked: Vec<usize>,
+    /// `(order, pos)`: active items in the oracle's frequency order
+    /// and each item's position in it.
+    locality: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+impl<'s> WalkPlan<'s> {
+    /// Validates `seed` against `oracle` and indexes it.
+    fn new<O: EdgeOracle>(
+        oracle: &O,
+        seed: &'s Matching,
+        config: &SamplerConfig,
+    ) -> Result<Self, SamplerError> {
+        let n = oracle.n();
+        assert_eq!(seed.left_partner.len(), n, "seed size mismatch");
+
+        let mut active: Vec<usize> = Vec::new();
+        let mut seed_cracked: Vec<usize> = Vec::new();
+        for (i, p) in seed.left_partner.iter().enumerate() {
+            if let Some(y) = *p {
+                if !oracle.has_edge(i, y) {
+                    return Err(SamplerError::InconsistentSeed { left: i, right: y });
+                }
+                active.push(i);
+                if y == i {
+                    seed_cracked.push(i);
+                }
+            }
+        }
+        if active.is_empty() {
+            return Err(SamplerError::EmptySeed);
+        }
+        let free_rights: Vec<usize> = (0..n)
+            .filter(|&y| seed.right_partner[y].is_none())
+            .collect();
+
+        // Locality structure for the proposal kernel: positions of the
+        // active items along the oracle's frequency-sorted order.
+        let locality = if config.use_locality {
+            oracle.locality_order()
+        } else {
+            None
+        }
+        .map(|order| {
+            let order: Vec<usize> = order
+                .into_iter()
+                .filter(|&i| seed.left_partner[i].is_some())
+                .collect();
+            let mut pos = vec![usize::MAX; n];
+            for (p, &i) in order.iter().enumerate() {
+                pos[i] = p;
+            }
+            (order, pos)
+        });
+
+        Ok(WalkPlan {
+            seed,
+            active,
+            free_rights,
+            seed_cracked,
+            locality,
+        })
+    }
 }
 
 /// Shared walk driver behind every sampling entry point: runs the
 /// epoch schedule under `budget` (polled once per epoch and every
-/// 1024 swap attempts inside [`Walk::run_swaps`]) and, when `hits`
-/// is provided, tallies per-item crack frequencies alongside the
-/// per-sample counts (`hits[i]` += 1 for every sample with item `i`
-/// cracked; `hits` must have length `oracle.n()`).
+/// 1024 swap attempts inside [`Walk::run_swaps`]) until
+/// `config.n_samples` samples are taken and, when `hits` is provided,
+/// tallies per-item crack frequencies alongside the per-sample counts
+/// (`hits[i]` += 1 for every sample with item `i` cracked; `hits`
+/// must have length `oracle.n()`).
 fn sample_cracks_core<O: EdgeOracle, R: Rng + ?Sized>(
     oracle: &O,
-    seed: &Matching,
+    plan: &WalkPlan<'_>,
     config: &SamplerConfig,
     rng: &mut R,
     budget: &Budget,
-    mut hits: Option<&mut Vec<u64>>,
+    hits: Option<&mut [u64]>,
 ) -> Result<CrackSamples, SamplerError> {
-    let n = oracle.n();
-    assert_eq!(seed.left_partner.len(), n, "seed size mismatch");
-
-    // Validate the seed once.
-    let mut active: Vec<usize> = Vec::new();
-    for (i, p) in seed.left_partner.iter().enumerate() {
-        if let Some(y) = *p {
-            if !oracle.has_edge(i, y) {
-                return Err(SamplerError::InconsistentSeed { left: i, right: y });
-            }
-            active.push(i);
-        }
-    }
-    if active.is_empty() {
-        return Err(SamplerError::EmptySeed);
-    }
-
-    // Locality structure for the proposal kernel: positions of the
-    // active items along the oracle's frequency-sorted order.
-    let locality = if config.use_locality {
-        oracle.locality_order()
-    } else {
-        None
-    }
-    .map(|order| {
-        let order: Vec<usize> = order
-            .into_iter()
-            .filter(|&i| seed.left_partner[i].is_some())
-            .collect();
-        let mut pos = vec![usize::MAX; n];
-        for (p, &i) in order.iter().enumerate() {
-            pos[i] = p;
-        }
-        (order, pos)
-    });
-
+    let mut walk = Walk::new(oracle, plan, hits);
     let mut counts = Vec::with_capacity(config.n_samples);
-    'outer: loop {
+    while counts.len() < config.n_samples {
         budget.check().map_err(SamplerError::Interrupted)?;
-        // (Re)seed.
-        let mut partner: Vec<Option<usize>> = seed.left_partner.clone();
-        let mut free_rights: Vec<usize> = (0..n)
-            .filter(|&y| seed.right_partner[y].is_none())
-            .collect();
-
-        let mut walk = Walk {
-            oracle,
-            partner: &mut partner,
-            active: &active,
-            free_rights: &mut free_rights,
-            locality: locality.as_ref(),
-        };
-
+        walk.reseed();
         walk.run_swaps(config.warmup_swaps, rng, budget)
             .map_err(SamplerError::Interrupted)?;
-        for _ in 0..config.samples_per_seed {
+        let epoch_len = config.samples_per_seed.min(config.n_samples - counts.len());
+        for _ in 0..epoch_len {
             walk.run_swaps(config.swaps_between_samples, rng, budget)
                 .map_err(SamplerError::Interrupted)?;
-            counts.push(count_cracks(walk.partner));
-            if let Some(h) = hits.as_deref_mut() {
-                tally_cracks(walk.partner, h);
-            }
-            if counts.len() >= config.n_samples {
-                break 'outer;
-            }
+            counts.push(walk.take_sample());
         }
+        walk.close_runs();
     }
     Ok(CrackSamples { counts })
 }
@@ -376,6 +419,10 @@ pub fn sample_cracks_sharded<O: EdgeOracle + Sync>(
 /// [`sample_cracks_sharded`] with an explicit worker count (for the
 /// determinism property tests; results are identical for every
 /// `threads`).
+///
+/// # Errors
+///
+/// Same conditions as [`sample_cracks`].
 pub fn sample_cracks_with_threads<O: EdgeOracle + Sync>(
     oracle: &O,
     seed: &Matching,
@@ -383,27 +430,13 @@ pub fn sample_cracks_with_threads<O: EdgeOracle + Sync>(
     rng_seed: u64,
     threads: usize,
 ) -> Result<CrackSamples, SamplerError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    assert!(
-        config.samples_per_seed >= 1,
-        "samples_per_seed must be >= 1"
-    );
-    let per_batch = config.samples_per_seed;
-    let n_batches = config.n_samples.div_ceil(per_batch);
-    if n_batches == 0 {
+    if !schedule_has_samples(config)? {
         return Ok(CrackSamples { counts: Vec::new() });
     }
-
-    let batches = crate::par::map_indexed(threads, n_batches, |b| {
-        let batch_len = per_batch.min(config.n_samples - b * per_batch);
-        let batch_config = SamplerConfig {
-            n_samples: batch_len,
-            ..*config
-        };
-        let mut rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
-        sample_cracks(oracle, seed, &batch_config, &mut rng)
+    let plan = WalkPlan::new(oracle, seed, config)?;
+    let unlimited = Budget::unlimited();
+    let batches = crate::par::map_indexed(threads, n_batches(config), |b| {
+        run_batch(oracle, &plan, config, rng_seed, b, &unlimited, None)
     });
 
     let mut counts = Vec::with_capacity(config.n_samples);
@@ -411,6 +444,46 @@ pub fn sample_cracks_with_threads<O: EdgeOracle + Sync>(
         counts.extend(batch?.counts);
     }
     Ok(CrackSamples { counts })
+}
+
+/// Number of one-epoch batches the sharded schedules split into.
+fn n_batches(config: &SamplerConfig) -> usize {
+    config.n_samples.div_ceil(config.samples_per_seed)
+}
+
+/// Runs batch `b` of the sharded schedule: the next
+/// `samples_per_seed` samples (fewer in the last batch) from a fresh
+/// `StdRng` seeded `rng_seed.wrapping_add(b)`.
+fn run_batch<O: EdgeOracle>(
+    oracle: &O,
+    plan: &WalkPlan<'_>,
+    config: &SamplerConfig,
+    rng_seed: u64,
+    b: usize,
+    budget: &Budget,
+    hits: Option<&mut [u64]>,
+) -> Result<CrackSamples, SamplerError> {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
+    sample_cracks_core(
+        oracle,
+        plan,
+        &batch_config(config, b),
+        &mut rng,
+        budget,
+        hits,
+    )
+}
+
+/// The schedule of batch `b`: `config` cut to that batch's samples.
+fn batch_config(config: &SamplerConfig, b: usize) -> SamplerConfig {
+    let per_batch = config.samples_per_seed;
+    SamplerConfig {
+        n_samples: per_batch.min(config.n_samples - b * per_batch),
+        ..*config
+    }
 }
 
 /// Budgeted, fault-isolated [`sample_cracks_with_threads`]: the same
@@ -423,7 +496,7 @@ pub fn sample_cracks_with_threads<O: EdgeOracle + Sync>(
 ///
 /// # Errors
 ///
-/// Seed errors as in [`sample_cracks`];
+/// Schedule and seed errors as in [`sample_cracks`];
 /// [`SamplerError::Interrupted`] when the budget trips, the token
 /// fires, or an injected fault panics a batch.
 pub fn sample_cracks_budgeted<O: EdgeOracle + Sync>(
@@ -443,7 +516,8 @@ pub fn sample_cracks_budgeted<O: EdgeOracle + Sync>(
 /// `out[i]` is the fraction of sampled matchings in which item `i`
 /// is cracked (mapped to itself). This is the sampler rung's answer
 /// to the same question the exact permanent answers via
-/// [`crate::exact::crack_probabilities`].
+/// [`crate::exact::crack_probabilities`]. With `n_samples == 0` there
+/// are no samples and every entry is `0.0`.
 ///
 /// # Errors
 ///
@@ -478,38 +552,21 @@ fn sample_cracks_budgeted_inner<O: EdgeOracle + Sync>(
     budget: &Budget,
     tally: bool,
 ) -> Result<(CrackSamples, Vec<u64>), SamplerError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    assert!(
-        config.samples_per_seed >= 1,
-        "samples_per_seed must be >= 1"
-    );
     let n = oracle.n();
-    let per_batch = config.samples_per_seed;
-    let n_batches = config.n_samples.div_ceil(per_batch);
-    if n_batches == 0 {
+    if !schedule_has_samples(config)? {
         return Ok((CrackSamples { counts: Vec::new() }, vec![0; n]));
     }
+    // A tripped budget outranks seed errors: callers treat an
+    // interruption (e.g. cancellation) differently from a bad seed.
+    budget.check().map_err(SamplerError::Interrupted)?;
+    let plan = WalkPlan::new(oracle, seed, config)?;
 
-    let results = crate::par::try_map_indexed(threads, n_batches, budget, |b| {
+    let results = crate::par::try_map_indexed(threads, n_batches(config), budget, |b| {
         faults::probe("sampler.batch", b);
-        let batch_len = per_batch.min(config.n_samples - b * per_batch);
-        let batch_config = SamplerConfig {
-            n_samples: batch_len,
-            ..*config
-        };
-        let mut rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
-        let mut batch_hits = if tally { Some(vec![0u64; n]) } else { None };
-        let samples = sample_cracks_core(
-            oracle,
-            seed,
-            &batch_config,
-            &mut rng,
-            budget,
-            batch_hits.as_mut(),
-        )?;
-        Ok((samples, batch_hits.unwrap_or_default()))
+        let mut batch_hits = if tally { vec![0u64; n] } else { Vec::new() };
+        let hits = tally.then_some(batch_hits.as_mut_slice());
+        let samples = run_batch(oracle, &plan, config, rng_seed, b, budget, hits)?;
+        Ok((samples, batch_hits))
     })
     .map_err(SamplerError::Interrupted)?;
 
@@ -525,39 +582,105 @@ fn sample_cracks_budgeted_inner<O: EdgeOracle + Sync>(
     Ok((CrackSamples { counts }, hits))
 }
 
-fn count_cracks(partner: &[Option<usize>]) -> usize {
-    partner
-        .iter()
-        .enumerate()
-        .filter(|&(i, p)| *p == Some(i))
-        .count()
-}
-
-/// Adds each cracked item of one sample into the per-item tallies.
-fn tally_cracks(partner: &[Option<usize>], hits: &mut [u64]) {
-    for (i, p) in partner.iter().enumerate() {
-        if *p == Some(i) {
-            hits[i] += 1;
-        }
-    }
-}
-
 /// Half-width of the locality proposal window (in positions along
 /// the frequency-sorted order).
 const LOCALITY_WINDOW: usize = 32;
 
-/// Internal walk state.
-struct Walk<'a, O: EdgeOracle> {
-    oracle: &'a O,
-    partner: &'a mut Vec<Option<usize>>,
-    active: &'a [usize],
-    free_rights: &'a mut Vec<usize>,
-    /// `(order, pos)`: active items in frequency order and each
-    /// item's position in it.
-    locality: Option<&'a (Vec<usize>, Vec<usize>)>,
+/// Run-length per-item crack tallies: instead of scanning all `n`
+/// items after every sample, each run of consecutive cracked samples
+/// is added to `hits` once, when it closes.
+struct RunTally<'h> {
+    hits: &'h mut [u64],
+    /// Samples taken so far in the current epoch.
+    taken: u64,
+    /// For each currently cracked item, the value of `taken` when its
+    /// current run opened (stale for uncracked items).
+    opened: Vec<u64>,
 }
 
-impl<O: EdgeOracle> Walk<'_, O> {
+/// Internal walk state. `cracks` and the open runs of `tally` are
+/// kept current by every move, so taking a sample is O(1).
+struct Walk<'a, O: EdgeOracle> {
+    oracle: &'a O,
+    plan: &'a WalkPlan<'a>,
+    partner: Vec<Option<usize>>,
+    free_rights: Vec<usize>,
+    /// Number of items `i` with `partner[i] == Some(i)`.
+    cracks: usize,
+    tally: Option<RunTally<'a>>,
+}
+
+impl<'a, O: EdgeOracle> Walk<'a, O> {
+    /// A walk over `plan`, tallying into `hits` when given. Call
+    /// [`Walk::reseed`] before the first epoch.
+    fn new(oracle: &'a O, plan: &'a WalkPlan<'a>, hits: Option<&'a mut [u64]>) -> Self {
+        Walk {
+            oracle,
+            plan,
+            partner: Vec::new(),
+            free_rights: Vec::new(),
+            cracks: 0,
+            tally: hits.map(|hits| RunTally {
+                opened: vec![0; hits.len()],
+                hits,
+                taken: 0,
+            }),
+        }
+    }
+
+    /// Restarts from the seed matching: a new epoch whose runs open
+    /// at its first sample.
+    fn reseed(&mut self) {
+        self.partner.clone_from(&self.plan.seed.left_partner);
+        self.free_rights.clone_from(&self.plan.free_rights);
+        self.cracks = self.plan.seed_cracked.len();
+        if let Some(t) = &mut self.tally {
+            t.taken = 0;
+            for &i in &self.plan.seed_cracked {
+                t.opened[i] = 0;
+            }
+        }
+    }
+
+    /// Records one sample of the current matching: its crack count.
+    fn take_sample(&mut self) -> usize {
+        if let Some(t) = &mut self.tally {
+            t.taken += 1;
+        }
+        self.cracks
+    }
+
+    /// Ends the epoch: every item still cracked closes its run.
+    fn close_runs(&mut self) {
+        if let Some(t) = &mut self.tally {
+            for (i, p) in self.partner.iter().enumerate() {
+                if *p == Some(i) {
+                    t.hits[i] += t.taken - t.opened[i];
+                }
+            }
+        }
+    }
+
+    /// Updates the crack count and run tallies after `i`'s partner
+    /// changed; `was_cracked` is whether its old partner was `i`.
+    fn note_move(&mut self, i: usize, was_cracked: bool) {
+        let cracked = self.partner[i] == Some(i);
+        if cracked == was_cracked {
+            return;
+        }
+        if cracked {
+            self.cracks += 1;
+            if let Some(t) = &mut self.tally {
+                t.opened[i] = t.taken;
+            }
+        } else {
+            self.cracks -= 1;
+            if let Some(t) = &mut self.tally {
+                t.hits[i] += t.taken - t.opened[i];
+            }
+        }
+    }
+
     /// Executes `swaps` swap attempts, polling `budget` every 1024.
     /// Each attempt draws a pair `(i, j)` of matched items — `i`
     /// uniform; `j` uniform half the time and from a window around
@@ -574,7 +697,9 @@ impl<O: EdgeOracle> Walk<'_, O> {
         rng: &mut R,
         budget: &Budget,
     ) -> Result<(), ExecError> {
-        let k = self.active.len();
+        let plan = self.plan;
+        let active = &plan.active;
+        let k = active.len();
         let mut remaining = swaps;
         let mut since_poll = 0u32;
         while remaining > 0 {
@@ -584,8 +709,8 @@ impl<O: EdgeOracle> Walk<'_, O> {
                 budget.check()?;
             }
             remaining -= 1;
-            let i = self.active[rng.gen_range(0..k)];
-            let j = match self.locality {
+            let i = active[rng.gen_range(0..k)];
+            let j = match &plan.locality {
                 Some((order, pos)) if !order.is_empty() && rng.gen_bool(0.5) => {
                     let p = pos[i];
                     debug_assert!(p != usize::MAX);
@@ -604,7 +729,7 @@ impl<O: EdgeOracle> Walk<'_, O> {
                     }
                     order[q as usize]
                 }
-                _ => self.active[rng.gen_range(0..k)],
+                _ => active[rng.gen_range(0..k)],
             };
             if i != j {
                 self.try_swap(i, j);
@@ -620,7 +745,7 @@ impl<O: EdgeOracle> Walk<'_, O> {
     }
 
     /// Swaps the partners of active lefts `i` and `j` if both new
-    /// edges are consistent.
+    /// edges are consistent. Only `i` and `j` can change crack state.
     fn try_swap(&mut self, i: usize, j: usize) {
         // Callers draw i, j from `active`, whose members are matched
         // by construction; an unmatched item is simply not swappable.
@@ -630,11 +755,13 @@ impl<O: EdgeOracle> Walk<'_, O> {
         if self.oracle.has_edge(i, yj) && self.oracle.has_edge(j, yi) {
             self.partner[i] = Some(yj);
             self.partner[j] = Some(yi);
+            self.note_move(i, yi == i);
+            self.note_move(j, yj == j);
         }
     }
 
     /// Moves left `i` onto a random free right column if consistent,
-    /// freeing its old column.
+    /// freeing its old column. Only `i` can change crack state.
     fn try_relocate<R: Rng + ?Sized>(&mut self, i: usize, rng: &mut R) {
         let k = rng.gen_range(0..self.free_rights.len());
         let r = self.free_rights[k];
@@ -644,6 +771,7 @@ impl<O: EdgeOracle> Walk<'_, O> {
             if let Some(old) = self.partner[i] {
                 self.partner[i] = Some(r);
                 self.free_rights[k] = old;
+                self.note_move(i, old == i);
             }
         }
     }
@@ -653,11 +781,179 @@ impl<O: EdgeOracle> Walk<'_, O> {
 mod tests {
     use super::*;
     use crate::exact::expected_cracks;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn quick() -> SamplerConfig {
         SamplerConfig::quick()
+    }
+
+    /// The per-sample O(n) crack count the walk's O(1) accounting
+    /// replaced; kept as the reference it is checked against.
+    fn count_cracks(partner: &[Option<usize>]) -> usize {
+        partner
+            .iter()
+            .enumerate()
+            .filter(|&(i, p)| *p == Some(i))
+            .count()
+    }
+
+    /// Adds each cracked item of one sample into the per-item tallies
+    /// (the scan the run-length tallies replaced).
+    fn tally_cracks(partner: &[Option<usize>], hits: &mut [u64]) {
+        for (i, p) in partner.iter().enumerate() {
+            if *p == Some(i) {
+                hits[i] += 1;
+            }
+        }
+    }
+
+    /// The epoch schedule of `sample_cracks_core`, read off the
+    /// matching with the full scans after every sample. It drives the
+    /// same walk moves, so the RNG stream is the same; only the
+    /// accounting differs. Also checks the walk's live crack count
+    /// against the scan at every sample.
+    fn reference_sample<O: EdgeOracle, R: Rng>(
+        oracle: &O,
+        seed: &Matching,
+        config: &SamplerConfig,
+        rng: &mut R,
+    ) -> (Vec<usize>, Vec<u64>) {
+        let plan = WalkPlan::new(oracle, seed, config).unwrap();
+        let mut walk = Walk::new(oracle, &plan, None);
+        let budget = Budget::unlimited();
+        let mut counts = Vec::new();
+        let mut hits = vec![0u64; oracle.n()];
+        while counts.len() < config.n_samples {
+            walk.reseed();
+            walk.run_swaps(config.warmup_swaps, rng, &budget).unwrap();
+            for _ in 0..config.samples_per_seed.min(config.n_samples - counts.len()) {
+                walk.run_swaps(config.swaps_between_samples, rng, &budget)
+                    .unwrap();
+                let count = count_cracks(&walk.partner);
+                assert_eq!(walk.cracks, count, "live crack count drifted");
+                counts.push(count);
+                tally_cracks(&walk.partner, &mut hits);
+            }
+        }
+        (counts, hits)
+    }
+
+    /// [`reference_sample`] over the sharded batch schedule, batches
+    /// run in order on one thread.
+    fn reference_sharded<O: EdgeOracle>(
+        oracle: &O,
+        seed: &Matching,
+        config: &SamplerConfig,
+        rng_seed: u64,
+    ) -> (Vec<usize>, Vec<u64>) {
+        let mut counts = Vec::new();
+        let mut hits = vec![0u64; oracle.n()];
+        for b in 0..n_batches(config) {
+            let mut rng = StdRng::seed_from_u64(rng_seed.wrapping_add(b as u64));
+            let (c, h) = reference_sample(oracle, seed, &batch_config(config, b), &mut rng);
+            counts.extend(c);
+            for (acc, x) in hits.iter_mut().zip(h) {
+                *acc += x;
+            }
+        }
+        (counts, hits)
+    }
+
+    /// A random dense graph for the differential; the diagonal is
+    /// present unless `noncompliant`.
+    fn random_dense_graph(n: usize, noncompliant: bool, rng: &mut StdRng) -> DenseBigraph {
+        use rand::Rng;
+        let density = rng.gen_range(0.1..0.9);
+        let mut g = DenseBigraph::new(n);
+        for i in 0..n {
+            if !noncompliant {
+                g.add_edge(i, i);
+            }
+            for j in 0..n {
+                if rng.gen_bool(density) {
+                    g.add_edge(i, j);
+                }
+            }
+        }
+        g
+    }
+
+    /// A random interval graph for the differential: every item is
+    /// compliant unless `noncompliant`, in which case about a third
+    /// get a shifted interval (so the identity is usually not a
+    /// consistent seed).
+    fn random_interval_graph(n: usize, noncompliant: bool, rng: &mut StdRng) -> GroupedBigraph {
+        use rand::Rng;
+        let m = 40u64;
+        let supports: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=m)).collect();
+        let width = rng.gen_range(0.0..0.3);
+        let intervals: Vec<(f64, f64)> = supports
+            .iter()
+            .map(|&s| {
+                let f = s as f64 / m as f64;
+                let f = if noncompliant && rng.gen_bool(0.33) {
+                    (f + 0.4) % 1.0
+                } else {
+                    f
+                };
+                ((f - width).max(0.0), (f + width).min(1.0))
+            })
+            .collect();
+        GroupedBigraph::new(&supports, m, &intervals)
+    }
+
+    /// The differential's walk seed: the identity (kind 0) or a
+    /// maximum matching of `dense` (kinds 1 and 2); kind 2 then drops
+    /// pairs to free some columns, so relocations run.
+    fn differential_seed(dense: &DenseBigraph, kind: u8, rng: &mut StdRng) -> Matching {
+        use rand::Rng;
+        let n = dense.n();
+        if kind == 0 {
+            return Matching::identity(n);
+        }
+        let mut seed = crate::hopcroft_karp(dense);
+        if kind == 2 {
+            let drop = rng.gen_range(1..=n.div_ceil(3));
+            for i in 0..drop {
+                if seed.size() <= 1 {
+                    break;
+                }
+                if let Some(y) = seed.left_partner[i].take() {
+                    seed.right_partner[y] = None;
+                }
+            }
+        }
+        seed
+    }
+
+    /// Checks every entry point's counts (and the budgeted tallies)
+    /// against the scan references, at thread counts 1, 2 and 4.
+    fn check_accounting<O: EdgeOracle + Sync>(
+        g: &O,
+        seed: &Matching,
+        config: &SamplerConfig,
+        rng_seed: u64,
+    ) -> Result<(), TestCaseError> {
+        prop_assume!(seed.size() > 0);
+        let mut rng = StdRng::seed_from_u64(rng_seed ^ 1);
+        let (ref_counts, _) = reference_sample(g, seed, config, &mut rng);
+        let mut rng = StdRng::seed_from_u64(rng_seed ^ 1);
+        let serial = sample_cracks(g, seed, config, &mut rng).unwrap();
+        prop_assert_eq!(&serial.counts, &ref_counts);
+
+        let (ref_counts, ref_hits) = reference_sharded(g, seed, config, rng_seed);
+        let b = Budget::unlimited();
+        for threads in [1usize, 2, 4] {
+            let (s, hits) =
+                sample_cracks_budgeted_inner(g, seed, config, rng_seed, threads, &b, true).unwrap();
+            prop_assert_eq!(&s.counts, &ref_counts, "threads={}", threads);
+            prop_assert_eq!(&hits, &ref_hits, "threads={}", threads);
+            let sharded = sample_cracks_with_threads(g, seed, config, rng_seed, threads).unwrap();
+            prop_assert_eq!(&sharded.counts, &ref_counts, "threads={}", threads);
+        }
+        Ok(())
     }
 
     #[test]
@@ -877,6 +1173,138 @@ mod tests {
         assert_eq!(probs.len(), 6);
         let total: f64 = probs.iter().sum();
         assert!((total - s.mean()).abs() < 1e-12, "{total} vs {}", s.mean());
+    }
+
+    #[test]
+    fn sample_cracks_schedule_edge_cases() {
+        let g = DenseBigraph::complete(4);
+        let seed = Matching::identity(4);
+        let mut rng = StdRng::seed_from_u64(70);
+        let none = SamplerConfig {
+            n_samples: 0,
+            ..quick()
+        };
+        let s = sample_cracks(&g, &seed, &none, &mut rng).unwrap();
+        assert!(s.counts.is_empty());
+        let stuck = SamplerConfig {
+            samples_per_seed: 0,
+            ..quick()
+        };
+        let err = sample_cracks(&g, &seed, &stuck, &mut rng).unwrap_err();
+        assert_eq!(err, SamplerError::ZeroSamplesPerSeed);
+    }
+
+    #[test]
+    fn sharded_schedule_edge_cases() {
+        let g = DenseBigraph::complete(4);
+        let seed = Matching::identity(4);
+        let none = SamplerConfig {
+            n_samples: 0,
+            ..quick()
+        };
+        let stuck = SamplerConfig {
+            samples_per_seed: 0,
+            ..quick()
+        };
+        for threads in [1, 3] {
+            let s = sample_cracks_with_threads(&g, &seed, &none, 5, threads).unwrap();
+            assert!(s.counts.is_empty());
+            let err = sample_cracks_with_threads(&g, &seed, &stuck, 5, threads).unwrap_err();
+            assert_eq!(err, SamplerError::ZeroSamplesPerSeed);
+        }
+        assert!(sample_cracks_sharded(&g, &seed, &none, 5)
+            .unwrap()
+            .counts
+            .is_empty());
+        assert_eq!(
+            sample_cracks_sharded(&g, &seed, &stuck, 5).unwrap_err(),
+            SamplerError::ZeroSamplesPerSeed
+        );
+    }
+
+    #[test]
+    fn budgeted_schedule_edge_cases() {
+        let g = DenseBigraph::complete(4);
+        let seed = Matching::identity(4);
+        let b = Budget::unlimited();
+        let none = SamplerConfig {
+            n_samples: 0,
+            ..quick()
+        };
+        let stuck = SamplerConfig {
+            samples_per_seed: 0,
+            ..quick()
+        };
+        for threads in [1, 3] {
+            let s = sample_cracks_budgeted(&g, &seed, &none, 5, threads, &b).unwrap();
+            assert!(s.counts.is_empty());
+            let err = sample_cracks_budgeted(&g, &seed, &stuck, 5, threads, &b).unwrap_err();
+            assert_eq!(err, SamplerError::ZeroSamplesPerSeed);
+        }
+    }
+
+    #[test]
+    fn probabilities_schedule_edge_cases() {
+        let g = DenseBigraph::complete(4);
+        let seed = Matching::identity(4);
+        let b = Budget::unlimited();
+        let none = SamplerConfig {
+            n_samples: 0,
+            ..quick()
+        };
+        let stuck = SamplerConfig {
+            samples_per_seed: 0,
+            ..quick()
+        };
+        for threads in [1, 3] {
+            let p = sample_crack_probabilities_budgeted(&g, &seed, &none, 5, threads, &b).unwrap();
+            assert_eq!(p, vec![0.0; 4]);
+            let err =
+                sample_crack_probabilities_budgeted(&g, &seed, &stuck, 5, threads, &b).unwrap_err();
+            assert_eq!(err, SamplerError::ZeroSamplesPerSeed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Accounting differential: the walk's O(1) crack count and
+        /// run-length tallies must give exactly the counts and
+        /// per-item hits of the full per-sample scans, on dense and
+        /// interval graphs, from identity, Hopcroft–Karp and partial
+        /// seeds (so relocations onto free columns run), with locality
+        /// proposals on and off, at thread counts 1, 2 and 4.
+        #[test]
+        fn differential_run_length_accounting_equals_scan_reference(
+            n in 2usize..=24,
+            grouped in any::<bool>(),
+            seed_kind in 0u8..3,
+            use_locality in any::<bool>(),
+            warmup_swaps in 0usize..300,
+            swaps_between_samples in 1usize..40,
+            samples_per_seed in 1usize..30,
+            n_samples in 1usize..80,
+            graph_seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(graph_seed);
+            let config = SamplerConfig {
+                warmup_swaps,
+                swaps_between_samples,
+                samples_per_seed,
+                n_samples,
+                use_locality,
+            };
+            let noncompliant = seed_kind > 0;
+            if grouped {
+                let g = random_interval_graph(n, noncompliant, &mut rng);
+                let seed = differential_seed(&g.to_dense(), seed_kind, &mut rng);
+                check_accounting(&g, &seed, &config, graph_seed)?;
+            } else {
+                let g = random_dense_graph(n, noncompliant, &mut rng);
+                let seed = differential_seed(&g, seed_kind, &mut rng);
+                check_accounting(&g, &seed, &config, graph_seed)?;
+            }
+        }
     }
 
     #[test]
